@@ -1,9 +1,11 @@
 //! Multi-unit ablation: the §5 scaling argument, measured on this host.
 //!
 //! A `MultiUnitServer` runs N fabric units on N OS threads, each garbling
-//! an interleaved share of the model rows and streaming frames to the host
-//! while it evaluates — the transcript stays bit-identical to the
-//! single-unit `CloudServer` (see `tests/proptest_protocol.rs`). This
+//! an interleaved share of the job's elements. The garbled job then runs
+//! the same wire exchange (OT, frames, evaluation) as a served session, so
+//! garbling does not overlap OT and evaluation. The transcript stays
+//! bit-identical to the single-unit `CloudServer` (see
+//! `tests/proptest_protocol.rs`). This
 //! binary reports the modeled cycle speedup next to the *measured*
 //! wall-clock speedup on the acceptance workload (64x256, 8-bit signed),
 //! and contrasts it with the barrier-synchronized CPU-parallel strawman
@@ -88,7 +90,7 @@ fn main() {
     }
     println!();
     println!("  vs single = single-unit CloudServer wall / multi-unit pipeline wall");
-    println!("              (full protocol: garbling + OT + host eval, overlapped)");
+    println!("              (full protocol: garbling, then OT + host eval over the wire)");
     println!("  modeled   = sum of per-unit fabric cycles / makespan cycles");
     println!("  threads   = sum of per-thread busy time / garbling makespan");
 
@@ -109,7 +111,7 @@ fn main() {
         println!("    {threads} threads: {:.2}x", cpu1 / cpu(threads));
     }
     println!("  Per-gate barriers leave nothing to parallelize at MAC scale;");
-    println!("  unit-level row parallelism with streamed frames scales instead.");
+    println!("  unit-level element parallelism scales instead.");
 
     println!();
     if cores >= 4 {

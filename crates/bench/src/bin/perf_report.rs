@@ -1,7 +1,7 @@
 //! Machine-readable perf report: the repo's trajectory baseline artifact.
 //!
-//! Runs a representative secure matvec three ways — the sequential
-//! single-unit `CloudServer`, the threaded 4-unit pipeline, and a genuine
+//! Runs a representative secure matvec three ways — the threaded 4-unit
+//! bank, the single-unit `CloudServer`, and a genuine
 //! two-party GC execution over the typed channel layer — with the global
 //! telemetry recorder installed, then prints the cost attribution as human
 //! tables and writes the full snapshot to `BENCH_matvec.json`.
@@ -123,20 +123,24 @@ fn main() {
     println!("perf_report: secure matvec {rows}x{cols}, b=8 signed, {UNITS}-unit pipeline");
     println!();
 
-    // Workload 1 — sequential single-unit CloudServer (per-phase spans:
-    // secure_matvec/garble, /ot, /evaluate).
-    let (mut server, mut client) = connect(&config, weights.clone(), 1);
-    let (got, transcript) = secure_matvec(&mut server, &mut client, &x);
-    assert_eq!(got, expected, "single-unit result mismatch");
-
-    // Workload 2 — threaded multi-unit pipeline (per-unit timeline +
+    // Workload 1 — threaded multi-unit bank (per-unit timeline +
     // multi_unit.* counters, explicitly recorded so they survive even a
-    // feature-off build).
+    // feature-off build). It runs first, and the unit table reads a
+    // snapshot taken right after it: the single-unit CloudServer below is
+    // a one-unit bank whose garbling would otherwise join lane 0.
     let (mut multi, mut multi_client) = connect_multi(&config, weights.clone(), UNITS, 1);
     let (got_multi, _, timing) = secure_matvec_multi(&mut multi, &mut multi_client, &x)
         .expect("in-process frames are well-formed");
     assert_eq!(got_multi, expected, "multi-unit result mismatch");
     timing.record_into(&recorder);
+    let units_snapshot = recorder.snapshot();
+
+    // Workload 2 — single-unit CloudServer. Spans: the client thread's
+    // secure_matvec/remote.client_job, the server end's remote.stream_job
+    // and the unit thread's unit_garble (which carries the fabric cycles).
+    let (mut server, mut client) = connect(&config, weights.clone(), 1);
+    let (got, transcript) = secure_matvec(&mut server, &mut client, &x);
+    assert_eq!(got, expected, "single-unit result mismatch");
 
     // Workload 3 — genuine two-party GC over the typed channel layer, so
     // the per-kind byte breakdown (blocks/tables/bits) is populated.
@@ -169,7 +173,7 @@ fn main() {
     print_gates(&snapshot, &transcript);
     print_channel(&snapshot);
     print_ot(&snapshot, &transcript);
-    print_units(&snapshot);
+    print_units(&units_snapshot);
     print_garbling(backend, eps, software_eps);
 
     let json = build_json(
@@ -243,7 +247,7 @@ fn print_gates(snapshot: &Snapshot, transcript: &MatvecTranscript) {
 
 fn print_channel(snapshot: &Snapshot) {
     println!();
-    println!("Channel bytes by message kind (unit→host streams + 2PC wire):");
+    println!("Channel bytes by message kind (in-process sessions + 2PC wire):");
     let widths = [8usize, 12, 10];
     println!(
         "  {}",

@@ -60,13 +60,14 @@ pub fn compare(label: &str, paper: f64, ours: f64) -> String {
 pub struct MultiUnitPerf {
     /// Units (threads) the run used.
     pub units: usize,
-    /// End-to-end wall-clock of the streamed pipeline, milliseconds.
+    /// End-to-end wall-clock of the query (garbling, then the exchange),
+    /// milliseconds.
     pub wall_ms: f64,
     /// Modeled fabric speedup: total unit cycles / makespan cycles.
     pub modeled_speedup: f64,
     /// Measured thread speedup: total busy time / busiest thread.
     pub thread_speedup: f64,
-    /// Garbled material streamed unit → host, megabytes.
+    /// Garbled material (ROUNDS frames) streamed to the client, megabytes.
     pub mb_streamed: f64,
 }
 

@@ -257,11 +257,21 @@ impl Maxelerator {
     /// order elements are processed — the invariant the multi-unit pipeline
     /// relies on for transcript parity with a single-unit server.
     pub fn begin_element(&mut self, elem: u32) {
+        self.begin_element_on_stream(elem, elem);
+    }
+
+    /// [`begin_element`](Maxelerator::begin_element) drawing the element's
+    /// labels from label stream `stream` instead of stream `elem`, while
+    /// `elem` still feeds the gate tweaks. A server that keeps serving one
+    /// client numbers streams across jobs, so no two jobs share labels or
+    /// Δ, while each job's tweaks restart at element zero as the client's
+    /// evaluator expects.
+    pub(crate) fn begin_element_on_stream(&mut self, elem: u32, stream: u32) {
         let retiring = self.labels.report();
         self.rng_active_base += retiring.active_rng_cycles;
         self.rng_worst_base += retiring.worst_case_rng_cycles;
         self.labels = LabelGenerator::new(
-            element_label_seed(self.base_seed, elem),
+            element_label_seed(self.base_seed, stream),
             self.config.bit_width.max(4),
         );
         self.delta = Delta::from_block(self.labels.next_label());

@@ -1,36 +1,52 @@
 //! Multiple MAC units on one device, running **concurrently**: each unit
-//! garbles its share of the rows on its own thread (§6: "the throughput can
-//! be increased linearly by adding more GC cores") and streams the round
-//! messages to the host CPU through the `max_gc::channel` layer, so
-//! garbling overlaps host-side OT and evaluation instead of barriering per
-//! row.
+//! garbles an interleaved stripe of a job's output elements on its own
+//! thread (§6: "the throughput can be increased linearly by adding more GC
+//! cores").
 //!
-//! Functional output is **bit-identical** to the single-unit
-//! [`crate::CloudServer`]: every element's label stream derives from
-//! `(base_seed, elem)` alone (see [`Maxelerator::begin_element`]), so the
-//! thread/unit assignment cannot leak into the transcript. The host
-//! consumes rows in row order, which also keeps the OT-extension state
-//! transitions identical to the sequential server's.
+//! A [`MultiUnitServer`] is the accelerator bank behind every in-process
+//! server — [`crate::CloudServer`] is the one-unit bank. A query runs the
+//! one wire exchange of [`crate::remote`] over an in-memory
+//! [`Duplex`]: the server end reads the JOB, garbles it on the bank,
+//! renders it with [`materialize_job`] and streams it with
+//! [`stream_materialized_job_from`]; the client end is
+//! [`RemoteClient::secure_matmul`]. The job is garbled in full before it
+//! streams, so garbling does not overlap OT and evaluation.
+//!
+//! Functional output is **independent of the unit count**: every element's
+//! label stream derives from `(base_seed, stream)` alone (see
+//! [`Maxelerator::begin_element`]), so the thread/unit assignment cannot
+//! leak into the transcript. Label streams keep counting across the jobs
+//! of one server, so no two queries share labels or Δ; the first job on a
+//! fresh server uses streams `0..elements`, exactly as
+//! [`crate::remote::garble_matvec_job`] numbers them.
 //!
 //! Timing is reported two ways: the *modeled* fabric cycles (makespan =
-//! busiest unit) and the *measured* wall-clock of the host pipeline, so the
-//! linear-scaling claim can be checked against real thread-level speedup.
+//! busiest unit) and the *measured* wall-clock of the garbling threads, so
+//! the linear-scaling claim can be checked against real thread-level
+//! speedup.
 
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use max_crypto::Block;
+use max_crypto::{Block, TranscriptDigest};
 use max_gc::channel::Duplex;
 use max_ot::iknp::{self, OtExtSender};
+use max_telemetry::TraceContext;
 
-use crate::accelerator::{Maxelerator, RoundMessage, ScheduledEvaluator};
+use crate::accelerator::{Maxelerator, RoundMessage};
 use crate::config::AcceleratorConfig;
 use crate::error::AcceleratorError;
+use crate::remote::{
+    garble_row, materialize_job, recv_control, send_control, stream_materialized_job_from,
+    ControlMsg, GarbledJob, GarbledRow, RemoteClient,
+};
 use crate::server::{ClientSession, MatvecTranscript};
-use crate::wire::{decode_round_message, encode_round_message};
 
 /// OT label pairs for one row, one inner `Vec` per round.
 pub type RowOtPairs = Vec<Vec<(Block, Block)>>;
+
+/// Panic message for a query on a session that is not open.
+const SESSION_CLOSED: &str =
+    "in-process session is closed (server not built via connect_multi, or an exchange failed)";
 
 /// A bank of independent MAC units sharing one device.
 ///
@@ -38,11 +54,28 @@ pub type RowOtPairs = Vec<Vec<(Block, Block)>>;
 /// which is what makes the parallel transcript equal to the single-unit
 /// one.
 pub struct MultiUnitServer {
-    units: Vec<Maxelerator>,
+    pub(crate) units: Vec<Maxelerator>,
+    /// Label streams used by earlier jobs: element `e` of the next job
+    /// garbles from stream `next_stream + e`.
+    next_stream: u32,
     weights: Vec<Vec<i64>>,
-    config: AcceleratorConfig,
-    /// Present when built via [`connect_multi`]; powers the full OT path.
-    ot_sender: Option<OtExtSender>,
+    /// The garbler's end of the session; present when built via
+    /// [`connect_multi`].
+    link: Option<ServerLink>,
+}
+
+/// The garbler's end of an in-process session.
+struct ServerLink {
+    transport: Duplex,
+    ot_sender: OtExtSender,
+    jobs: u64,
+}
+
+/// One unit's share of a garbled job.
+struct Stripe {
+    rows: Vec<GarbledRow>,
+    busy: Duration,
+    cycles: u64,
 }
 
 impl std::fmt::Debug for MultiUnitServer {
@@ -68,11 +101,12 @@ pub struct MultiUnitTiming {
     pub measured_makespan: Duration,
     /// Sum of all garbling threads' busy time (= single-thread equivalent).
     pub measured_busy_total: Duration,
-    /// Measured end-to-end wall-clock of the streamed pipeline (garbling
-    /// overlapped with host-side OT/evaluation).
+    /// Measured end-to-end wall-clock: garbling, then the wire exchange
+    /// (OT and evaluation) for a query; garbling alone for
+    /// [`MultiUnitServer::garble_matvec`].
     pub measured_wall: Duration,
-    /// Bytes of garbled material streamed unit → host over the channel
-    /// layer.
+    /// Bytes of garbled material (ROUNDS frames) streamed to the client;
+    /// zero when nothing was streamed.
     pub streamed_bytes: u64,
 }
 
@@ -140,9 +174,6 @@ impl MultiUnitTiming {
     }
 }
 
-/// Per-unit result of one garbling thread, drained after the scope joins.
-type UnitStats = (usize, Duration, u64);
-
 impl MultiUnitServer {
     /// Creates `units` MAC units serving model matrix `weights`. An empty
     /// matrix is accepted (the matvec is then the empty vector).
@@ -170,9 +201,9 @@ impl MultiUnitServer {
             units: (0..units)
                 .map(|_| Maxelerator::new(config.clone(), seed))
                 .collect(),
+            next_stream: 0,
             weights,
-            config: config.clone(),
-            ot_sender: None,
+            link: None,
         }
     }
 
@@ -191,181 +222,209 @@ impl MultiUnitServer {
         self.weights.first().map_or(0, Vec::len)
     }
 
-    /// Runs the threaded garbling pipeline: every unit garbles rows
-    /// `u, u + n, u + 2n, …` on its own thread and streams each round's
-    /// encoded [`RoundMessage`] over a [`Duplex`] channel; `on_row` runs on
-    /// the host thread, in row order, overlapped with the still-garbling
-    /// units. OT pairs travel on a server-internal side channel (they never
-    /// leave the garbler's trust domain).
-    fn stream_rows<F>(&mut self, mut on_row: F) -> Result<MultiUnitTiming, AcceleratorError>
-    where
-        F: FnMut(
-            usize,
-            Vec<RoundMessage>,
-            Vec<Vec<(Block, Block)>>,
-        ) -> Result<(), AcceleratorError>,
-    {
+    /// Garbles a `columns`-pass job: element `e` (model row
+    /// `e % rows`) on unit `e % units`, every unit on its own scoped thread.
+    /// The timing's `measured_wall` covers the garbling only.
+    pub(crate) fn garble(
+        &mut self,
+        columns: u32,
+    ) -> Result<(GarbledJob, MultiUnitTiming), AcceleratorError> {
         let started = Instant::now();
         let n_units = self.units.len();
-        let rows = self.weights.len();
-        if rows == 0 {
-            return Ok(MultiUnitTiming {
-                units: n_units,
-                measured_wall: started.elapsed(),
-                ..MultiUnitTiming::default()
-            });
-        }
-
-        let mut unit_ends = Vec::with_capacity(n_units);
-        let mut host_ends = Vec::with_capacity(n_units);
-        let mut pair_txs = Vec::with_capacity(n_units);
-        let mut pair_rxs = Vec::with_capacity(n_units);
-        for _ in 0..n_units {
-            let (unit_end, host_end) = Duplex::pair();
-            unit_ends.push(unit_end);
-            host_ends.push(host_end);
-            let (tx, rx) = mpsc::channel::<Vec<Vec<(Block, Block)>>>();
-            pair_txs.push(tx);
-            pair_rxs.push(rx);
-        }
-        let (stats_tx, stats_rx) = mpsc::channel::<UnitStats>();
-
+        let elements = self.weights.len() * columns as usize;
+        let first_stream = self.next_stream;
         let weights = &self.weights;
-        let host_result: Result<(), AcceleratorError> = std::thread::scope(|scope| {
-            for ((u, unit), (mut wire, pair_tx)) in self
+        let stripes = std::thread::scope(|scope| {
+            let handles: Vec<_> = self
                 .units
                 .iter_mut()
                 .enumerate()
-                .zip(unit_ends.into_iter().zip(pair_txs))
-            {
-                let stats_tx = stats_tx.clone();
-                scope.spawn(move || {
-                    // Busy interval of this unit on the shared timeline;
-                    // closed when the guard drops at thread exit.
-                    let _lane = max_telemetry::timeline("multi_unit.units", u as u32);
-                    let mut span = max_telemetry::span("unit_garble");
-                    let thread_started = Instant::now();
-                    let cycles_before = unit.report().cycles;
-                    for row_idx in (u..rows).step_by(n_units) {
-                        unit.begin_element(row_idx as u32);
-                        let msgs = unit.garble_job(&weights[row_idx], true);
-                        let pairs: Vec<Vec<(Block, Block)>> = msgs
-                            .iter()
-                            .map(|m| unit.ot_pairs(m.round).expect("just garbled").to_vec())
-                            .collect();
-                        for msg in &msgs {
-                            wire.send_bytes(encode_round_message(msg));
-                        }
-                        // Receiver only drops early if the host errored out.
-                        let _ = pair_tx.send(pairs);
-                    }
-                    let unit_cycles = unit.report().cycles - cycles_before;
-                    let elapsed = thread_started.elapsed();
-                    span.add_cycles(unit_cycles);
-                    max_telemetry::histogram_record(
-                        "multi_unit.unit_busy_ns",
-                        elapsed.as_nanos() as u64,
-                    );
-                    let _ = stats_tx.send((u, elapsed, unit_cycles));
-                });
-            }
-            drop(stats_tx);
+                .map(|(u, unit)| {
+                    scope.spawn(move || {
+                        garble_stripe(unit, u, n_units, weights, elements, first_stream)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect::<Result<Vec<_>, _>>()
+        })?;
+        self.next_stream = first_stream.wrapping_add(elements as u32);
 
-            // Host side: consume rows strictly in row order (each unit's
-            // stream is FIFO and its rows ascend, so the owner's next frame
-            // bundle is exactly the next row we need). Early rows are
-            // evaluated while later rows are still being garbled.
-            let rounds_per_row = weights[0].len();
-            for row_idx in 0..rows {
-                let owner = row_idx % n_units;
-                let mut msgs = Vec::with_capacity(rounds_per_row);
-                for _ in 0..rounds_per_row {
-                    let frame = host_ends[owner]
-                        .recv_bytes()
-                        .map_err(|_| AcceleratorError::Disconnected)?;
-                    msgs.push(decode_round_message(frame)?);
-                }
-                let pairs = pair_rxs[owner]
-                    .recv()
-                    .map_err(|_| AcceleratorError::Disconnected)?;
-                on_row(row_idx, msgs, pairs)?;
-            }
-            Ok(())
-        });
-
-        let mut busy = vec![Duration::ZERO; n_units];
-        let mut cycles = vec![0u64; n_units];
-        for (u, elapsed, unit_cycles) in stats_rx.iter() {
-            busy[u] = elapsed;
-            cycles[u] = unit_cycles;
-        }
-        host_result?;
-
-        Ok(MultiUnitTiming {
+        let busy: Vec<Duration> = stripes.iter().map(|s| s.busy).collect();
+        let cycles: Vec<u64> = stripes.iter().map(|s| s.cycles).collect();
+        let mut lanes: Vec<_> = stripes.into_iter().map(|s| s.rows.into_iter()).collect();
+        let rows = (0..elements)
+            .map(|e| {
+                lanes[e % n_units]
+                    .next()
+                    .expect("stripe holds its elements")
+            })
+            .collect();
+        let makespan = cycles.iter().copied().max().unwrap_or(0);
+        let freq_mhz = self.units[0].config().freq_mhz;
+        let timing = MultiUnitTiming {
             units: n_units,
-            makespan_cycles: cycles.iter().copied().max().unwrap_or(0),
+            makespan_cycles: makespan,
             total_cycles: cycles.iter().sum(),
             measured_makespan: busy.iter().copied().max().unwrap_or(Duration::ZERO),
             measured_busy_total: busy.iter().sum(),
             measured_wall: started.elapsed(),
-            streamed_bytes: host_ends.iter().map(|e| e.received().bytes()).sum(),
-        })
+            streamed_bytes: 0,
+        };
+        let job = GarbledJob {
+            rows,
+            rows_per_pass: self.weights.len(),
+            fabric_cycles: makespan,
+            fabric_seconds: makespan as f64 / (freq_mhz * 1e6),
+        };
+        Ok((job, timing))
     }
 
     /// Garbles every row, row `i` on unit `i % units`, and returns the
-    /// per-row messages with their OT pairs (trusted-delivery form for the
-    /// in-process client) and the parallel timing. The units run on real
-    /// threads; this form gathers everything before returning.
-    pub fn garble_matvec(&mut self) -> (Vec<Vec<RoundMessage>>, Vec<RowOtPairs>, MultiUnitTiming) {
-        let mut messages = Vec::with_capacity(self.weights.len());
-        let mut pairs = Vec::with_capacity(self.weights.len());
-        let timing = self
-            .stream_rows(|_, msgs, row_pairs| {
-                messages.push(msgs);
-                pairs.push(row_pairs);
-                Ok(())
-            })
-            .expect("in-process units stream well-formed frames");
-        (messages, pairs, timing)
-    }
-
-    /// Full in-process secure matvec against a client, rows garbled across
-    /// the unit bank and evaluated on the host thread while later rows are
-    /// still being garbled (trusted label delivery; production uses
-    /// [`connect_multi`] + [`secure_matvec_multi`]).
+    /// per-row messages with their OT pairs and the parallel timing — the
+    /// job one matvec query garbles, without the exchange. Like a query,
+    /// it draws fresh label streams.
     ///
     /// # Panics
     ///
-    /// Panics if `x` length mismatches the model.
-    pub fn secure_matvec(&mut self, x: &[i64]) -> (Vec<i64>, MultiUnitTiming) {
-        assert_eq!(x.len(), self.cols(), "vector length mismatch");
-        let config = self.config.clone();
-        let mut client = ScheduledEvaluator::new(&config);
-        let mut result = Vec::with_capacity(self.weights.len());
-        let timing = self
-            .stream_rows(|row_idx, msgs, row_pairs| {
-                client.begin_element(row_idx as u32);
-                let mut decoded = None;
-                for (msg, round_pairs) in msgs.iter().zip(&row_pairs) {
-                    let bits = config.encode_x(x[msg.round as usize]);
-                    let labels: Vec<Block> = round_pairs
-                        .iter()
-                        .zip(&bits)
-                        .map(|(&(m0, m1), &bit)| if bit { m1 } else { m0 })
-                        .collect();
-                    decoded = client.evaluate_round(msg, &labels)?;
-                }
-                result.push(decoded.expect("final round decodes"));
-                Ok(())
+    /// Panics if a model value does not fit the configured bit-width.
+    pub fn garble_matvec(&mut self) -> (Vec<Vec<RoundMessage>>, Vec<RowOtPairs>, MultiUnitTiming) {
+        let (job, timing) = self
+            .garble(1)
+            .expect("compiled schedule satisfies its own dependencies");
+        let b = self.units[0].config().bit_width;
+        let (messages, pairs) = job
+            .rows
+            .into_iter()
+            .map(|row| {
+                (
+                    row.messages,
+                    row.pairs.chunks(b).map(<[_]>::to_vec).collect(),
+                )
             })
-            .expect("in-process units stream well-formed frames");
-        (result, timing)
+            .unzip();
+        (messages, pairs, timing)
+    }
+
+    /// The server end of one query: reads the JOB, garbles it on the bank
+    /// and streams it. Runs on its own thread; `link` drops on failure, so
+    /// the client end never waits on a dead server.
+    fn serve_job(
+        &mut self,
+        mut link: ServerLink,
+    ) -> Result<(MultiUnitTiming, ServerLink), AcceleratorError> {
+        let ControlMsg::JobRequest {
+            columns,
+            model_id: None,
+        } = recv_control(&mut link.transport)?
+        else {
+            return Err(AcceleratorError::Protocol {
+                what: "expected JOB",
+            });
+        };
+        let (job, timing) = self.garble(columns)?;
+        let job = materialize_job(&job);
+        stream_materialized_job_from(
+            &mut link.transport,
+            &job,
+            &mut link.ot_sender,
+            &mut TranscriptDigest::new(),
+            link.jobs,
+            TraceContext::none(),
+            0,
+            None,
+            |_, _, _| {},
+        )?;
+        link.jobs += 1;
+        let streamed_bytes = job
+            .elements
+            .iter()
+            .map(|e| e.rounds_frame.len() as u64)
+            .sum();
+        Ok((
+            MultiUnitTiming {
+                streamed_bytes,
+                ..timing
+            },
+            link,
+        ))
+    }
+
+    /// Runs one job of `x_columns` through the wire exchange: the server
+    /// end on a scoped thread, the client end ([`RemoteClient::secure_matmul`])
+    /// on this one. Each end hangs up when it fails, so neither can block
+    /// the other, and a failed exchange closes the session.
+    pub(crate) fn exchange(
+        &mut self,
+        client: &mut ClientSession,
+        x_columns: &[Vec<i64>],
+    ) -> Result<(Vec<Vec<i64>>, MatvecTranscript, MultiUnitTiming), AcceleratorError> {
+        let started = Instant::now();
+        let link = self.link.take().expect(SESSION_CLOSED);
+        let mut remote = client.remote.take().expect(SESSION_CLOSED);
+        let this = &mut *self;
+        let (served, received) = std::thread::scope(|scope| {
+            let server = scope.spawn(move || this.serve_job(link));
+            let received = remote.secure_matmul(x_columns).map(|out| (out, remote));
+            let served = server
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (served, received)
+        });
+        let ((timing, link), ((columns, transcript), remote)) = match (served, received) {
+            (Ok(served), Ok(received)) => (served, received),
+            // Report the failing end, not the other end's view of the hang-up.
+            (Err(AcceleratorError::Disconnected), Err(err)) | (Err(err), _) | (_, Err(err)) => {
+                return Err(err)
+            }
+        };
+        self.link = Some(link);
+        client.remote = Some(remote);
+        let timing = MultiUnitTiming {
+            measured_wall: started.elapsed(),
+            ..timing
+        };
+        Ok((columns, transcript, timing))
     }
 }
 
+/// Garbles unit `u`'s stripe of a job — elements `u, u + n, u + 2n, …` —
+/// on the calling thread.
+fn garble_stripe(
+    unit: &mut Maxelerator,
+    u: usize,
+    n_units: usize,
+    weights: &[Vec<i64>],
+    elements: usize,
+    first_stream: u32,
+) -> Result<Stripe, AcceleratorError> {
+    // Busy interval of this unit on the shared timeline; closed when the
+    // guard drops at thread exit.
+    let _lane = max_telemetry::timeline("multi_unit.units", u as u32);
+    let mut span = max_telemetry::span("unit_garble");
+    let started = Instant::now();
+    let cycles_before = unit.report().cycles;
+    let mut rows = Vec::with_capacity(elements.div_ceil(n_units));
+    for e in (u..elements).step_by(n_units) {
+        unit.begin_element_on_stream(e as u32, first_stream.wrapping_add(e as u32));
+        rows.push(garble_row(unit, &weights[e % weights.len()])?);
+    }
+    let cycles = unit.report().cycles - cycles_before;
+    let busy = started.elapsed();
+    span.add_cycles(cycles);
+    max_telemetry::histogram_record("multi_unit.unit_busy_ns", busy.as_nanos() as u64);
+    Ok(Stripe { rows, busy, cycles })
+}
+
 /// Creates a connected multi-unit server / client pair, mirroring
-/// [`crate::connect`]: same OT base phase, same seeds, so the resulting
-/// transcript is byte-identical to the single-unit server's.
+/// [`crate::connect`]: an in-memory session whose OT base phase uses the
+/// same seed, so the transcript is byte-identical to the single-unit
+/// server's.
 ///
 /// # Panics
 ///
@@ -377,86 +436,65 @@ pub fn connect_multi(
     seed: u64,
 ) -> (MultiUnitServer, ClientSession) {
     let mut server = MultiUnitServer::new(config, weights, units, seed);
-    let (ot_sender, ot_receiver) = iknp::setup_pair(seed ^ 0x0055_aaff);
-    server.ot_sender = Some(ot_sender);
+    let ot_seed = seed ^ 0x0055_aaff;
+    let (mut server_end, client_end) = Duplex::pair();
+    // The in-memory channel buffers, so ACCEPT can be queued before the
+    // client's HELLO and the handshake needs no second thread. In-process
+    // sessions never RESUME, so the resume token carries no secret.
+    let accept = ControlMsg::Accept {
+        session_id: 0,
+        ot_seed,
+        resume_token: 0,
+        rows: u32::try_from(server.rows()).expect("model rows fit the wire format"),
+        cols: u32::try_from(server.cols()).expect("model columns fit the wire format"),
+        bit_width: config.bit_width as u32,
+        acc_width: config.acc_width as u32,
+        signed: config.signed,
+        freq_mhz_bits: config.freq_mhz.to_bits(),
+    };
+    let handshake = send_control(&mut server_end, &accept)
+        .and_then(|()| {
+            RemoteClient::connect_with_trace(client_end, config.bit_width, TraceContext::none())
+        })
+        .and_then(|remote| recv_control(&mut server_end).map(|_hello| remote));
+    let remote = handshake.expect("in-process handshake");
+    let (ot_sender, _receiver) = iknp::setup_pair(ot_seed);
+    server.link = Some(ServerLink {
+        transport: server_end,
+        ot_sender,
+        jobs: 0,
+    });
     (
         server,
         ClientSession {
-            evaluator: ScheduledEvaluator::new(config),
-            config: config.clone(),
-            ot_receiver,
+            remote: Some(remote),
         },
     )
 }
 
-/// Runs a complete privacy-preserving `y = W·x` through the threaded
-/// multi-unit pipeline with the client's `x` delivered via the full
-/// OT-extension stack — the parallel counterpart of
-/// [`crate::secure_matvec`], producing byte-identical results, OT
-/// ciphertexts and transcript byte counts.
+/// Runs a complete privacy-preserving `y = W·x` through the multi-unit
+/// bank with the client's `x` delivered via the full OT-extension stack —
+/// the parallel counterpart of [`crate::secure_matvec`], producing
+/// byte-identical results, OT ciphertexts and transcript byte counts. The
+/// transcript's fabric cycles are this job's makespan.
 ///
 /// # Errors
 ///
-/// Returns a typed [`AcceleratorError`] if a streamed frame is malformed
-/// or a unit disconnects mid-protocol.
+/// Returns a typed [`AcceleratorError`] if either end of the exchange
+/// fails; the session is closed afterwards.
 ///
 /// # Panics
 ///
-/// Panics if `server` was not built via [`connect_multi`] or `x` length
-/// mismatches the model.
+/// Panics if `server` was not built via [`connect_multi`], its session is
+/// closed, or `x` length mismatches the model.
 pub fn secure_matvec_multi(
     server: &mut MultiUnitServer,
     client: &mut ClientSession,
     x: &[i64],
 ) -> Result<(Vec<i64>, MatvecTranscript, MultiUnitTiming), AcceleratorError> {
     assert_eq!(x.len(), server.cols(), "vector length mismatch");
-    let mut ot_sender = server
-        .ot_sender
-        .take()
-        .expect("server must be built via connect_multi");
-    let config = client.config.clone();
-    let b = config.bit_width;
-    let mut choices = Vec::with_capacity(x.len() * b);
-    for &xl in x {
-        choices.extend(config.encode_x(xl));
-    }
-
-    let mut transcript = MatvecTranscript::default();
-    let mut result = Vec::with_capacity(server.rows());
-    let evaluator = &mut client.evaluator;
-    let ot_receiver = &mut client.ot_receiver;
-    let timing = server.stream_rows(|row_idx, msgs, row_pairs| {
-        evaluator.begin_element(row_idx as u32);
-        // One OT-extension batch per row, exactly as the single-unit
-        // server batches it, so the OT state transitions match.
-        let pairs: Vec<(Block, Block)> = row_pairs.into_iter().flatten().collect();
-        let (ext_msg, keys) = ot_receiver.prepare(&choices);
-        let cipher = ot_sender.send(&ext_msg, &pairs);
-        let labels: Vec<Block> = ot_receiver.receive(&cipher, &keys, &choices);
-        transcript.ot_bytes += (cipher.pairs.len() * 32) as u64;
-        transcript.ot_upload_bytes += ext_msg
-            .columns
-            .iter()
-            .map(|c| c.len() as u64 * 8)
-            .sum::<u64>();
-
-        let mut decoded = None;
-        for (i, msg) in msgs.iter().enumerate() {
-            transcript.material_bytes += msg.wire_bytes() as u64;
-            transcript.tables += msg.tables.len() as u64;
-            decoded = evaluator.evaluate_round(msg, &labels[i * b..(i + 1) * b])?;
-        }
-        result.push(decoded.expect("final round decodes"));
-        transcript.rounds += msgs.len() as u64;
-        Ok(())
-    });
-    server.ot_sender = Some(ot_sender);
-    let timing = timing?;
-
-    transcript.elements = server.rows();
-    transcript.fabric_cycles = timing.makespan_cycles;
-    transcript.fabric_seconds = timing.makespan_cycles as f64 / (config.freq_mhz * 1e6);
-    Ok((result, transcript, timing))
+    let (mut columns, transcript, timing) = server.exchange(client, &[x.to_vec()])?;
+    Ok((columns.swap_remove(0), transcript, timing))
 }
 
 #[cfg(test)]
@@ -484,8 +522,8 @@ mod tests {
             .map(|row| row.iter().zip(&x).map(|(a, b)| a * b).sum())
             .collect();
         for units in [1usize, 2, 4] {
-            let mut server = MultiUnitServer::new(&config, w.clone(), units, 99);
-            let (got, timing) = server.secure_matvec(&x);
+            let (mut server, mut client) = connect_multi(&config, w.clone(), units, 99);
+            let (got, _, timing) = secure_matvec_multi(&mut server, &mut client, &x).unwrap();
             assert_eq!(got, expected, "{units} units");
             assert_eq!(timing.units, units);
             assert!(timing.streamed_bytes > 0);
@@ -497,10 +535,10 @@ mod tests {
         let config = AcceleratorConfig::new(8);
         let w = model(8, 4);
         let x = vec![1i64, 2, 3, 4];
-        let mut one = MultiUnitServer::new(&config, w.clone(), 1, 5);
-        let mut four = MultiUnitServer::new(&config, w, 4, 5);
-        let (_, t1) = one.secure_matvec(&x);
-        let (_, t4) = four.secure_matvec(&x);
+        let (mut one, mut one_client) = connect_multi(&config, w.clone(), 1, 5);
+        let (mut four, mut four_client) = connect_multi(&config, w, 4, 5);
+        let (_, _, t1) = secure_matvec_multi(&mut one, &mut one_client, &x).unwrap();
+        let (_, _, t4) = secure_matvec_multi(&mut four, &mut four_client, &x).unwrap();
         assert!(
             t4.makespan_cycles * 3 < t1.makespan_cycles * 4,
             "4 units gave makespan {} vs {}",
@@ -571,8 +609,8 @@ mod tests {
             .iter()
             .map(|row| row.iter().zip(&x).map(|(a, b)| a * b).sum())
             .collect();
-        let mut server = MultiUnitServer::new(&config, w, 6, 11);
-        let (got, timing) = server.secure_matvec(&x);
+        let (mut server, mut client) = connect_multi(&config, w, 6, 11);
+        let (got, _, timing) = secure_matvec_multi(&mut server, &mut client, &x).unwrap();
         assert_eq!(got, expected);
         assert_eq!(timing.units, 6);
     }
@@ -580,8 +618,8 @@ mod tests {
     #[test]
     fn empty_model_is_fine() {
         let config = AcceleratorConfig::new(8);
-        let mut server = MultiUnitServer::new(&config, vec![], 3, 11);
-        let (got, timing) = server.secure_matvec(&[]);
+        let (mut server, mut client) = connect_multi(&config, vec![], 3, 11);
+        let (got, _, timing) = secure_matvec_multi(&mut server, &mut client, &[]).unwrap();
         assert!(got.is_empty());
         assert_eq!(timing.total_cycles, 0);
         assert_eq!(timing.streamed_bytes, 0);
@@ -590,5 +628,43 @@ mod tests {
         let (y, t, _) = secure_matvec_multi(&mut server, &mut client, &[]).unwrap();
         assert!(y.is_empty());
         assert_eq!(t.elements, 0);
+    }
+    #[test]
+    fn repeated_garbling_draws_fresh_labels() {
+        // Every job on one bank garbles from its own label streams: the
+        // same model garbled twice must share no tables and no OT pairs.
+        let config = AcceleratorConfig::new(8);
+        let mut server = MultiUnitServer::new(&config, model(3, 2), 2, 7);
+        let (m1, p1, _) = server.garble_matvec();
+        let (m2, p2, _) = server.garble_matvec();
+        for row in 0..3 {
+            assert_ne!(m1[row][0].tables, m2[row][0].tables, "row {row}");
+            assert_ne!(p1[row], p2[row], "row {row}");
+        }
+    }
+
+    #[test]
+    fn repeated_queries_draw_fresh_labels() {
+        // Two identical queries on one session: each unit's last element
+        // must hold different OT pairs the second time, and both results
+        // must still decode.
+        let config = AcceleratorConfig::new(8);
+        let w = model(4, 2);
+        let x = vec![5i64, -6];
+        let (mut server, mut client) = connect_multi(&config, w, 2, 13);
+        let last_pairs = |server: &MultiUnitServer| -> Vec<Vec<(Block, Block)>> {
+            server
+                .units
+                .iter()
+                .map(|unit| unit.ot_pairs(1).unwrap().to_vec())
+                .collect()
+        };
+        let (y1, _, _) = secure_matvec_multi(&mut server, &mut client, &x).unwrap();
+        let first = last_pairs(&server);
+        let (y2, _, _) = secure_matvec_multi(&mut server, &mut client, &x).unwrap();
+        assert_eq!(y1, y2);
+        for (unit, (a, b)) in first.iter().zip(&last_pairs(&server)).enumerate() {
+            assert_ne!(a, b, "unit {unit} reused its OT pairs");
+        }
     }
 }

@@ -1,11 +1,12 @@
 //! Session-driven two-party protocol over any [`Transport`].
 //!
-//! The in-process [`connect`](crate::connect)/[`secure_matvec`](crate::secure_matvec)
-//! pair assumes both parties live in one address space. This module is the
-//! wire-facing equivalent: a [`RemoteClient`] (the evaluator) speaks a small
-//! framed protocol to a serving garbler — over the in-memory
+//! This module is the repository's one protocol engine: a [`RemoteClient`]
+//! (the evaluator) speaks a small framed protocol to a garbler running
+//! [`stream_materialized_job_from`] — over the in-memory
 //! [`Duplex`](max_gc::channel::Duplex) or loopback/real TCP, identically —
-//! and recovers exact MAC results through the full OT-extension stack.
+//! and recovers exact MAC results through the full OT-extension stack. The
+//! in-process [`connect`](crate::connect)/[`secure_matvec`](crate::secure_matvec)
+//! API is a thin adapter that runs this exchange over a `Duplex`.
 //!
 //! ## Protocol
 //!
@@ -980,12 +981,7 @@ pub fn garble_matvec_job(
     for pass in 0..columns as usize {
         for (r, row) in weights.iter().enumerate() {
             accel.begin_element((pass * n_rows + r) as u32);
-            let messages = accel.try_garble_job(row, true)?;
-            let mut pairs = Vec::with_capacity(row.len() * config.bit_width);
-            for msg in &messages {
-                pairs.extend_from_slice(accel.ot_pairs(msg.round)?);
-            }
-            rows.push(GarbledRow { messages, pairs });
+            rows.push(garble_row(&mut accel, row)?);
         }
     }
     let cycles = accel.report().cycles;
@@ -995,6 +991,21 @@ pub fn garble_matvec_job(
         fabric_cycles: cycles,
         fabric_seconds: cycles as f64 / (config.freq_mhz * 1e6),
     })
+}
+
+/// Garbles one output element — every round of model row `row` — on
+/// `accel`, whose current element was opened by the caller, and collects
+/// the element's OT pairs in round order.
+pub(crate) fn garble_row(
+    accel: &mut Maxelerator,
+    row: &[i64],
+) -> Result<GarbledRow, AcceleratorError> {
+    let messages = accel.try_garble_job(row, true)?;
+    let mut pairs = Vec::with_capacity(row.len() * accel.config().bit_width);
+    for msg in &messages {
+        pairs.extend_from_slice(accel.ot_pairs(msg.round)?);
+    }
+    Ok(GarbledRow { messages, pairs })
 }
 
 /// One output element of a [`MaterializedJob`]: the OT label pairs the
@@ -1072,9 +1083,9 @@ pub fn stream_digest(job: &MaterializedJob) -> [u8; 16] {
 }
 
 /// Renders a garbled job to its wire form: encodes each element's ROUNDS
-/// burst once and keeps the OT pairs. Byte-for-byte, streaming the result
-/// is identical to streaming the [`GarbledJob`] directly —
-/// [`stream_matvec_job_from`] is implemented on top of this.
+/// burst once and keeps the OT pairs, ready for
+/// [`stream_materialized_job_from`]. Inline jobs render just before they
+/// stream; prepared-model stocks render offline and replay the bytes.
 pub fn materialize_job(job: &GarbledJob) -> MaterializedJob {
     let elements = job
         .rows
@@ -1095,81 +1106,23 @@ pub fn materialize_job(job: &GarbledJob) -> MaterializedJob {
     }
 }
 
-/// Streams a garbled job to the client: READY, then per element the
-/// EXT → CIPHER → ROUND... exchange, then STATS. Runs on the session
-/// thread (the server side of [`RemoteClient::secure_matvec`]).
+/// Streams a [`materialize_job`]d job to the client: READY, then per
+/// element the EXT → CIPHER → ROUNDS exchange, then STATS. This is the
+/// garbler's half of every job — served over TCP, replayed from a
+/// prepared-model stock, or run in process by [`crate::connect`] — and
+/// [`RemoteClient::run_job`] is the evaluator's half.
 ///
-/// # Errors
-///
-/// Propagates transport failures and protocol violations; on any error the
-/// session should be torn down (the OT state is no longer aligned) — or
-/// checkpointed for RESUME, see [`stream_matvec_job_from`].
-pub fn stream_matvec_job<T: Transport + ?Sized>(
-    transport: &mut T,
-    job: &GarbledJob,
-    ot_sender: &mut OtExtSender,
-    job_id: u64,
-    trace: TraceContext,
-) -> Result<MatvecTranscript, AcceleratorError> {
-    let mut digest = TranscriptDigest::new();
-    stream_matvec_job_from(
-        transport,
-        job,
-        ot_sender,
-        &mut digest,
-        job_id,
-        trace,
-        0,
-        |_, _, _| {},
-    )
-}
-
-/// [`stream_matvec_job`] generalized for resumption: starts the exchange
-/// at `start_element` (elements before it were already streamed on an
-/// earlier connection) and calls `on_element(next_element, ot_sender,
-/// digest)` once per element, after the OT and digest state advance but
-/// *before* the element's CIPHER/ROUNDS frames go out — the hook where a
-/// serving layer snapshots (and durably journals) the OT sender and the
-/// transcript digest for round checkpoints. The write-before-send ordering
-/// guarantees a journal is never behind the client's observed progress,
-/// whatever instant the process dies.
-///
-/// The caller must hand in an `ot_sender` and `digest` whose states match
-/// `start_element` (for a resume: the snapshots taken at that boundary —
-/// a fresh [`TranscriptDigest`] when starting at element zero).
-///
-/// # Errors
-///
-/// See [`stream_matvec_job`].
-#[allow(clippy::too_many_arguments)]
-pub fn stream_matvec_job_from<T: Transport + ?Sized>(
-    transport: &mut T,
-    job: &GarbledJob,
-    ot_sender: &mut OtExtSender,
-    digest: &mut TranscriptDigest,
-    job_id: u64,
-    trace: TraceContext,
-    start_element: usize,
-    on_element: impl FnMut(usize, &OtExtSender, &TranscriptDigest),
-) -> Result<MatvecTranscript, AcceleratorError> {
-    stream_materialized_job_from(
-        transport,
-        &materialize_job(job),
-        ot_sender,
-        digest,
-        job_id,
-        trace,
-        start_element,
-        None,
-        on_element,
-    )
-}
-
-/// The wire exchange of [`stream_matvec_job_from`], driven from an
-/// already-[`materialize_job`]d stream — the prepared-model online path.
-/// The bytes on the wire are identical whichever entry point is used; only
-/// the moment the ROUNDS frames were rendered differs (offline precompute
-/// vs just-in-time).
+/// Resumption: the exchange starts at `start_element` (elements before it
+/// were already streamed on an earlier connection) and calls
+/// `on_element(next_element, ot_sender, digest)` once per element, after
+/// the OT and digest state advance but *before* the element's
+/// CIPHER/ROUNDS frames go out — the hook where a serving layer snapshots
+/// (and durably journals) the OT sender and the transcript digest for
+/// round checkpoints. The write-before-send ordering guarantees a journal
+/// is never behind the client's observed progress, whatever instant the
+/// process dies. The caller must hand in an `ot_sender` and `digest` whose
+/// states match `start_element` (for a resume: the snapshots taken at that
+/// boundary — a fresh [`TranscriptDigest`] when starting at element zero).
 ///
 /// `expected_digest` carries the [`stream_digest`] recorded when a cached
 /// stream was garbled. It is re-verified here, *after* READY goes out but
@@ -1182,7 +1135,9 @@ pub fn stream_matvec_job_from<T: Transport + ?Sized>(
 ///
 /// # Errors
 ///
-/// See [`stream_matvec_job`].
+/// Propagates transport failures and protocol violations; on any error the
+/// session should be torn down (the OT state is no longer aligned) — or
+/// checkpointed for RESUME.
 #[allow(clippy::too_many_arguments)]
 pub fn stream_materialized_job_from<T: Transport + ?Sized>(
     transport: &mut T,
@@ -2145,7 +2100,17 @@ mod tests {
                         derive_seed(session_seed, 0x100 + job_id),
                         columns,
                     )?;
-                    stream_matvec_job(&mut transport, &job, &mut ot_sender, job_id, hello.2)?;
+                    stream_materialized_job_from(
+                        &mut transport,
+                        &materialize_job(&job),
+                        &mut ot_sender,
+                        &mut TranscriptDigest::new(),
+                        job_id,
+                        hello.2,
+                        0,
+                        None,
+                        |_, _, _| {},
+                    )?;
                     job_id += 1;
                 }
                 Ok(ControlMsg::Ping { nonce }) => {

@@ -541,9 +541,10 @@ mod tests {
     use super::*;
     use crate::config::AcceleratorConfig;
     use crate::remote::{
-        derive_seed, garble_matvec_job, recv_control, send_control, stream_matvec_job, ControlMsg,
-        PROTOCOL_VERSION,
+        derive_seed, garble_matvec_job, materialize_job, recv_control, send_control,
+        stream_materialized_job_from, ControlMsg, PROTOCOL_VERSION,
     };
+    use max_crypto::TranscriptDigest;
     use max_gc::channel::Duplex;
     use max_ot::iknp;
 
@@ -608,7 +609,17 @@ mod tests {
                         derive_seed(session_seed, 0x100 + job_id),
                         columns,
                     )?;
-                    stream_matvec_job(&mut transport, &job, &mut ot_sender, job_id, trace)?;
+                    stream_materialized_job_from(
+                        &mut transport,
+                        &materialize_job(&job),
+                        &mut ot_sender,
+                        &mut TranscriptDigest::new(),
+                        job_id,
+                        trace,
+                        0,
+                        None,
+                        |_, _, _| {},
+                    )?;
                     job_id += 1;
                 }
                 Ok(ControlMsg::Bye) | Err(AcceleratorError::Disconnected) => return Ok(()),

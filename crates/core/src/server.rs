@@ -5,13 +5,20 @@
 //! client — exactly the division of labour in §3: "MAXelerator creates the
 //! garbled tables and sends them to the host CPU that later performs the
 //! communication with the client including OT."
+//!
+//! The in-process API is a thin adapter over the one wire exchange of
+//! [`crate::remote`]: [`connect`] opens a session over an in-memory
+//! [`Duplex`], and every query is one JOB that the server garbles on its
+//! accelerator and streams while the client runs
+//! [`RemoteClient::secure_matmul`] — the same frames, CRC seals and
+//! transcript digests as a served session.
 
-use max_crypto::Block;
-use max_ot::iknp::{self, OtExtReceiver, OtExtSender};
+use max_gc::channel::Duplex;
 use serde::{Deserialize, Serialize};
 
-use crate::accelerator::{Maxelerator, RoundMessage, ScheduledEvaluator};
 use crate::config::AcceleratorConfig;
+use crate::multi_unit::{connect_multi, MultiUnitServer};
+use crate::remote::RemoteClient;
 
 /// Communication/computation accounting of one secure matrix-vector
 /// product.
@@ -35,27 +42,24 @@ pub struct MatvecTranscript {
     pub fabric_seconds: f64,
 }
 
-/// The cloud server: accelerator + model matrix + OT sender.
+/// The cloud server: a one-unit accelerator bank with the model matrix and
+/// the garbler's end of the session.
 pub struct CloudServer {
-    accelerator: Maxelerator,
-    /// Model matrix, row-major.
-    weights: Vec<Vec<i64>>,
-    ot_sender: OtExtSender,
+    bank: MultiUnitServer,
 }
 
 impl std::fmt::Debug for CloudServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CloudServer")
-            .field("rows", &self.weights.len())
+            .field("rows", &self.rows())
             .finish_non_exhaustive()
     }
 }
 
-/// The client: scheduled evaluator + OT receiver.
+/// The client: the evaluator's end of an in-process session.
 pub struct ClientSession {
-    pub(crate) evaluator: ScheduledEvaluator,
-    pub(crate) config: AcceleratorConfig,
-    pub(crate) ot_receiver: OtExtReceiver,
+    /// `None` once a failed exchange has closed the session.
+    pub(crate) remote: Option<RemoteClient<Duplex>>,
 }
 
 impl std::fmt::Debug for ClientSession {
@@ -70,51 +74,55 @@ impl std::fmt::Debug for ClientSession {
 ///
 /// # Panics
 ///
-/// Panics if the matrix is ragged, a non-empty matrix has zero columns, or
-/// its values do not fit the configured bit-width.
+/// Panics if the matrix is ragged or a non-empty matrix has zero columns.
+/// Values that do not fit the configured bit-width panic at the first
+/// query.
 pub fn connect(
     config: &AcceleratorConfig,
     weights: Vec<Vec<i64>>,
     seed: u64,
 ) -> (CloudServer, ClientSession) {
-    let cols = weights.first().map_or(0, Vec::len);
-    assert!(
-        weights.is_empty() || cols > 0,
-        "model matrix must have columns"
-    );
-    for row in &weights {
-        assert_eq!(row.len(), cols, "ragged model matrix");
-    }
-    let (ot_sender, ot_receiver) = iknp::setup_pair(seed ^ 0x0055_aaff);
-    (
-        CloudServer {
-            accelerator: Maxelerator::new(config.clone(), seed),
-            weights,
-            ot_sender,
-        },
-        ClientSession {
-            evaluator: ScheduledEvaluator::new(config),
-            config: config.clone(),
-            ot_receiver,
-        },
-    )
+    let (bank, client) = connect_multi(config, weights, 1, seed);
+    (CloudServer { bank }, client)
 }
 
 impl CloudServer {
     /// Number of model rows (output elements).
     pub fn rows(&self) -> usize {
-        self.weights.len()
+        self.bank.rows()
     }
 
     /// Vector length the client must supply (zero for an empty model).
     pub fn cols(&self) -> usize {
-        self.weights.first().map_or(0, Vec::len)
+        self.bank.cols()
     }
 
     /// Direct access to the accelerator's activity report.
     pub fn accelerator_report(&self) -> &crate::accelerator::AcceleratorReport {
-        self.accelerator.report()
+        self.bank.units[0].report()
     }
+}
+
+/// Runs one job of `x_columns` and returns the per-column results with the
+/// transcript. The transcript's fabric cycles are the accelerator's
+/// cumulative clock, which on a fresh server equals the job's own cycles.
+fn run_job(
+    server: &mut CloudServer,
+    client: &mut ClientSession,
+    x_columns: &[Vec<i64>],
+) -> (Vec<Vec<i64>>, MatvecTranscript) {
+    for column in x_columns {
+        assert_eq!(column.len(), server.cols(), "vector length mismatch");
+    }
+    let _span = max_telemetry::span("secure_matvec");
+    let (columns, mut transcript, _) = server
+        .bank
+        .exchange(client, x_columns)
+        .expect("in-process exchange is well-formed");
+    let cycles = server.accelerator_report().cycles;
+    transcript.fabric_cycles = cycles;
+    transcript.fabric_seconds = cycles as f64 / (server.bank.units[0].config().freq_mhz * 1e6);
+    (columns, transcript)
 }
 
 /// Runs a complete privacy-preserving matrix-vector product `y = W·x`
@@ -133,81 +141,17 @@ pub fn secure_matvec(
     client: &mut ClientSession,
     x: &[i64],
 ) -> (Vec<i64>, MatvecTranscript) {
-    assert_eq!(x.len(), server.cols(), "vector length mismatch");
-    let _matvec_span = max_telemetry::span("secure_matvec");
-    let mut transcript = MatvecTranscript::default();
-    let mut result = Vec::with_capacity(server.rows());
-
-    let weights = server.weights.clone();
-    for (row_idx, row) in weights.iter().enumerate() {
-        server.accelerator.begin_element(row_idx as u32);
-        client.evaluator.begin_element(row_idx as u32);
-        let messages: Vec<RoundMessage> = {
-            let mut span = max_telemetry::span("garble");
-            let cycles_before = server.accelerator.report().cycles;
-            let messages = server.accelerator.garble_job(row, true);
-            span.add_cycles(server.accelerator.report().cycles - cycles_before);
-            messages
-        };
-
-        // One OT-extension batch covers every round of this row: b choice
-        // bits per round.
-        let mut choices = Vec::with_capacity(x.len() * client.config.bit_width);
-        for &xl in x {
-            choices.extend(client.config.encode_x(xl));
-        }
-        let mut pairs = Vec::with_capacity(choices.len());
-        for msg in &messages {
-            pairs.extend_from_slice(
-                server
-                    .accelerator
-                    .ot_pairs(msg.round)
-                    .expect("round just garbled"),
-            );
-        }
-        let labels: Vec<Block> = {
-            let _span = max_telemetry::span("ot");
-            let (ext_msg, keys) = client.ot_receiver.prepare(&choices);
-            let cipher = server.ot_sender.send(&ext_msg, &pairs);
-            let labels = client.ot_receiver.receive(&cipher, &keys, &choices);
-            transcript.ot_bytes += (cipher.pairs.len() * 32) as u64;
-            transcript.ot_upload_bytes += ext_msg
-                .columns
-                .iter()
-                .map(|c| c.len() as u64 * 8)
-                .sum::<u64>();
-            labels
-        };
-
-        let _eval_span = max_telemetry::span("evaluate");
-        let b = client.config.bit_width;
-        let mut decoded = None;
-        for (i, msg) in messages.iter().enumerate() {
-            transcript.material_bytes += msg.wire_bytes() as u64;
-            transcript.tables += msg.tables.len() as u64;
-            decoded = client
-                .evaluator
-                .evaluate_round(msg, &labels[i * b..(i + 1) * b])
-                .expect("in-process server messages are well-formed");
-        }
-        drop(_eval_span);
-        result.push(decoded.expect("final round decodes"));
-        transcript.rounds += messages.len() as u64;
-    }
-
-    transcript.elements = server.rows();
-    let report = server.accelerator.report();
-    transcript.fabric_cycles = report.cycles;
-    transcript.fabric_seconds = report.cycles as f64 / (server.accelerator.config().freq_mhz * 1e6);
-    (result, transcript)
+    let (mut columns, transcript) = run_job(server, client, &[x.to_vec()]);
+    (columns.swap_remove(0), transcript)
 }
 
 /// Runs a complete privacy-preserving matrix product `Y = W·X` (Eq. 3 of
 /// the paper) where the client\'s matrix `X` is supplied column by column.
 ///
 /// Returns `Y` row-major (`rows x x_columns.len()`) and the merged
-/// transcript. Internally each column is one [`secure_matvec`]; the paper\'s
-/// cycle formula `3*M*N*P*b` is exactly this loop on one MAC unit.
+/// transcript. All columns travel as one job whose elements the one MAC
+/// unit garbles column after column, so the paper\'s cycle formula
+/// `3*M*N*P*b` holds for it.
 ///
 /// # Panics
 ///
@@ -218,23 +162,11 @@ pub fn secure_matmul(
     x_columns: &[Vec<i64>],
 ) -> (Vec<Vec<i64>>, MatvecTranscript) {
     assert!(!x_columns.is_empty(), "need at least one column");
-    let mut result = vec![vec![0i64; x_columns.len()]; server.rows()];
-    let mut total = MatvecTranscript::default();
-    for (j, column) in x_columns.iter().enumerate() {
-        let (y, t) = secure_matvec(server, client, column);
-        for (i, value) in y.into_iter().enumerate() {
-            result[i][j] = value;
-        }
-        total.elements += t.elements;
-        total.rounds += t.rounds;
-        total.tables += t.tables;
-        total.material_bytes += t.material_bytes;
-        total.ot_bytes += t.ot_bytes;
-        total.ot_upload_bytes += t.ot_upload_bytes;
-        total.fabric_cycles = t.fabric_cycles; // cumulative clock
-        total.fabric_seconds = t.fabric_seconds;
-    }
-    (result, total)
+    let (columns, transcript) = run_job(server, client, x_columns);
+    let result = (0..server.rows())
+        .map(|i| columns.iter().map(|column| column[i]).collect())
+        .collect();
+    (result, transcript)
 }
 
 #[cfg(test)]
@@ -334,5 +266,60 @@ mod tests {
     fn ragged_matrix_rejected() {
         let config = AcceleratorConfig::new(8);
         connect(&config, vec![vec![1, 2], vec![3]], 1);
+    }
+    #[test]
+    fn repeated_queries_draw_fresh_labels() {
+        // Two identical queries on one session must not resend the same
+        // labels: a client whose two queries differ in one bit would
+        // otherwise learn Δ from the two OT labels of that bit.
+        let config = AcceleratorConfig::new(8);
+        let (mut server, mut client) = connect(&config, vec![vec![2i64, 3], vec![-4, 5]], 17);
+        let last_pairs = |server: &CloudServer| server.bank.units[0].ot_pairs(1).unwrap().to_vec();
+        let (y1, _) = secure_matvec(&mut server, &mut client, &[10, 20]);
+        let first = last_pairs(&server);
+        let (y2, _) = secure_matvec(&mut server, &mut client, &[10, 20]);
+        assert_eq!(y1, vec![80, 60]);
+        assert_eq!(y2, y1);
+        assert_ne!(first, last_pairs(&server));
+
+        // The server end of each query garbles a fresh job.
+        let (q1, _) = server.bank.garble(1).unwrap();
+        let (q2, _) = server.bank.garble(1).unwrap();
+        for (a, b) in q1.rows.iter().zip(&q2.rows) {
+            assert_ne!(a.messages[0].tables, b.messages[0].tables);
+            assert_ne!(a.pairs, b.pairs);
+        }
+    }
+
+    #[test]
+    fn matmul_columns_draw_fresh_labels() {
+        // The two columns of one secure_matmul job garble the same model
+        // rows; they must still share no tables and no OT pairs.
+        let config = AcceleratorConfig::new(8);
+        let (mut server, _client) = connect(&config, vec![vec![1i64, -2], vec![3, 4]], 29);
+        let (job, _) = server.bank.garble(2).unwrap();
+        let (first, second) = job.rows.split_at(2);
+        for (a, b) in first.iter().zip(second) {
+            assert_ne!(a.messages[0].tables, b.messages[0].tables);
+            assert_ne!(a.pairs, b.pairs);
+        }
+    }
+    #[test]
+    #[should_panic(expected = "does not fit in 8 signed bits")]
+    fn out_of_range_weight_panics_without_blocking() {
+        // The server end panics mid-job: the client end must see the
+        // hang-up, and the server's panic must surface here.
+        let config = AcceleratorConfig::new(8);
+        let (mut server, mut client) = connect(&config, vec![vec![300, 1]], 1);
+        secure_matvec(&mut server, &mut client, &[1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit in 8 signed bits")]
+    fn out_of_range_input_panics_without_blocking() {
+        // The client end panics while the server end waits for its EXT.
+        let config = AcceleratorConfig::new(8);
+        let (mut server, mut client) = connect(&config, vec![vec![3, 1]], 1);
+        secure_matvec(&mut server, &mut client, &[1, 300]);
     }
 }

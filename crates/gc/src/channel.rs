@@ -498,8 +498,8 @@ const CRC32_TABLE: [u32; 256] = {
 };
 
 /// CRC32 (IEEE) over `bytes` — the per-frame checksum of the sealed wire
-/// format. Identical polynomial and check value to the journal's record
-/// CRC: `crc32(b"123456789") == 0xCBF4_3926`.
+/// format, and the record checksum of the serving journal, which reuses
+/// it: `crc32(b"123456789") == 0xCBF4_3926`.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = u32::MAX;
     for &b in bytes {
