@@ -7,13 +7,8 @@
 //! tables and writes the full snapshot to `BENCH_matvec.json`.
 //!
 //! ```text
-//! cargo run --release -p max-bench --bin perf_report --features telemetry [rows cols]
+//! cargo run --release -p max-bench --bin perf_report [rows cols]
 //! ```
-//!
-//! Without `--features telemetry` the in-stack instrumentation compiles to
-//! nothing; the report still runs (and still carries the protocol
-//! transcript and multi-unit timing, which are recorded explicitly), but
-//! the span/counter sections will be empty and the binary says so.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -106,12 +101,6 @@ fn main() {
 
     let recorder = Arc::new(Recorder::new());
     max_telemetry::install(Arc::clone(&recorder));
-    if !max_telemetry::enabled() {
-        eprintln!(
-            "warning: built without --features telemetry; in-stack spans and \
-             counters are compiled out"
-        );
-    }
 
     let weights = demo_weights(rows, cols);
     let x: Vec<i64> = (0..cols).map(|c| ((c * 5) % 251) as i64 - 125).collect();
@@ -124,8 +113,8 @@ fn main() {
     println!();
 
     // Workload 1 — threaded multi-unit bank (per-unit timeline +
-    // multi_unit.* counters, explicitly recorded so they survive even a
-    // feature-off build). It runs first, and the unit table reads a
+    // multi_unit.* counters, recorded explicitly from its timing). It runs
+    // first, and the unit table reads a
     // snapshot taken right after it: the single-unit CloudServer below is
     // a one-unit bank whose garbling would otherwise join lane 0.
     let (mut multi, mut multi_client) = connect_multi(&config, weights.clone(), UNITS, 1);
@@ -203,7 +192,7 @@ fn print_spans(snapshot: &Snapshot) {
     );
     println!("  {}", rule(&widths));
     if snapshot.spans.is_empty() {
-        println!("  (none recorded — build with --features telemetry)");
+        println!("  (none recorded)");
         return;
     }
     for span in &snapshot.spans {
@@ -392,10 +381,6 @@ fn build_json(
 
     let mut root = JsonValue::object();
     root.push("schema", JsonValue::Str("maxelerator-perf-v1".to_string()))
-        .push(
-            "telemetry_enabled",
-            JsonValue::Bool(max_telemetry::enabled()),
-        )
         .push("workload", workload)
         .push("transcript", t)
         .push("garbling", garbling)

@@ -2,8 +2,8 @@
 //! empty schedule is a bit-exact passthrough with identical channel
 //! accounting) and schedule determinism (same spec, same faults).
 //!
-//! These run in both telemetry feature states in CI — the facade must not
-//! perturb the wire either way.
+//! The transport's `max-telemetry` facade calls are always compiled in;
+//! idle (no recorder installed, as here) they must not perturb the wire.
 
 use bytes::Bytes;
 use max_gc::channel::{Duplex, FrameKind};

@@ -509,7 +509,6 @@ impl ModelRegistry {
         inner.stock_bytes -= entry.stock_bytes;
         inner.lru.retain(|&id| id != model_id);
         inner.counters.models_evicted_explicit += 1;
-        max_telemetry::counter_add("registry.models_evicted", 1);
         let status = entry.status(model_id);
         Some((
             status,
@@ -547,7 +546,6 @@ impl ModelRegistry {
                 *stock_bytes -= stream.bytes;
                 entry.served_prepared += 1;
                 counters.served_prepared += 1;
-                max_telemetry::counter_add("registry.served_prepared", 1);
                 // The fill-time digest rides along for the serving layer
                 // to re-verify before the first material frame leaves —
                 // the rehash scales with the stream, so it is pipelined
@@ -567,7 +565,6 @@ impl ModelRegistry {
         entry.generation += 1;
         entry.served_fallback += 1;
         counters.served_fallback += 1;
-        max_telemetry::counter_add("registry.served_fallback", 1);
         Some(Acquired::Starved(FallbackTicket {
             model_id,
             generation,
@@ -638,7 +635,6 @@ impl ModelRegistry {
         let (job, cycles) = garbled?;
         inner.counters.streams_produced += 1;
         inner.counters.fabric_cycles_spent += cycles;
-        max_telemetry::counter_add("registry.streams_produced", 1);
         let bytes = job.stored_bytes();
         let mut report = FillReport {
             model_id: ticket.model_id,
@@ -659,7 +655,6 @@ impl ModelRegistry {
         let oversized = self.reg.budget_bytes.is_some_and(|budget| bytes > budget);
         if !valid || oversized {
             inner.counters.streams_discarded += 1;
-            max_telemetry::counter_add("registry.streams_discarded", 1);
             return Ok(report);
         }
         if let Some(entry) = inner.models.get_mut(&ticket.model_id) {
@@ -699,7 +694,6 @@ impl ModelRegistry {
                     inner.stock_bytes -= entry.stock_bytes;
                     inner.lru.retain(|&m| m != id);
                     inner.counters.models_evicted_budget += 1;
-                    max_telemetry::counter_add("registry.models_evicted", 1);
                     evicted.push(Eviction {
                         model_id: id,
                         kind: EvictionKind::Budget,
@@ -748,11 +742,10 @@ impl ModelRegistry {
     /// re-verification and was dropped (the serving layer detected cache
     /// bit rot before any material frame left the wire). The caller falls
     /// through to inline garbling on retry; this keeps the rot visible in
-    /// [`RegistryStats::streams_integrity_dropped`] and telemetry.
+    /// [`RegistryStats::streams_integrity_dropped`].
     pub fn note_integrity_drop(&self) {
         let mut inner = self.lock();
         inner.counters.streams_integrity_dropped += 1;
-        max_telemetry::counter_add("registry.streams_integrity_dropped", 1);
     }
 
     /// Test hook: flips one bit in the first stocked stream of `model_id`

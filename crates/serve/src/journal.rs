@@ -492,16 +492,13 @@ impl Journal {
                 quarantine.push(QUARANTINE_SUFFIX);
                 let quarantine = PathBuf::from(quarantine);
                 fs::rename(path, &quarantine).map_err(io_err("quarantine segment"))?;
-                max_telemetry::counter_add("serve.journal.quarantined", 1);
                 report.quarantined.push(quarantine);
             } else if scan.damage.is_some() {
                 report.truncated_tail = true;
-                max_telemetry::counter_add("serve.journal.tail_truncated", 1);
             }
         }
         report.sessions = live.len();
         report.models = live_models.len();
-        max_telemetry::counter_add("serve.journal.replayed", report.records_applied);
 
         // Compact: rewrite the live set into a fresh segment, then retire
         // every older (non-quarantined) segment. A torn tail disappears
@@ -654,7 +651,6 @@ impl Journal {
         }
         inner.appends_total += 1;
         inner.appends_in_segment += 1;
-        max_telemetry::counter_add("serve.journal.appends", 1);
         if let Some(limit) = self.abort_after_appends {
             if inner.appends_total >= limit {
                 // Deterministic crash injection: die exactly like kill -9

@@ -43,7 +43,7 @@ pub use journal::{Journal, JournalConfig, JournalError, ReplayReport};
 pub use resume::{ResumeRegistry, SessionCheckpoint};
 pub use scheduler::{IdleFill, JobRequest, JobResult, QueueFull, UnitPool};
 pub use service::{listen_tcp, GcService, ServeConfig, ServeHandle, ServeStats};
-pub use session::{SessionSummary, MAX_JOB_COLUMNS};
+pub use session::MAX_JOB_COLUMNS;
 
 // The prepared-model registry the service embeds; re-exported so binaries
 // and tests reach its types without naming the crate twice.

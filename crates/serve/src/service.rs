@@ -217,47 +217,44 @@ impl ServiceShared {
         Some(status)
     }
 
+    /// Snapshot of the aggregate counters: the one reader behind
+    /// [`GcService::stats`] and the METRICS `stats` object.
+    pub(crate) fn stats(&self) -> ServeStats {
+        ServeStats {
+            sessions_started: self.sessions_started.load(Ordering::Relaxed),
+            sessions_errored: self.sessions_errored.load(Ordering::Relaxed),
+            jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
+            busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
+            jobs_resumed: self.jobs_resumed.load(Ordering::Relaxed),
+            jobs_prepared: self.jobs_prepared.load(Ordering::Relaxed),
+            checkpoints_saved: self.checkpoints_saved.load(Ordering::Relaxed),
+            integrity_rejects: self.integrity_rejects.load(Ordering::Relaxed),
+            breaker_trips: self.breaker.trips(),
+            shed: self.breaker.sheds(),
+        }
+    }
+
     /// Renders the live METRICS body: schema, serving counters, queue and
     /// breaker gauges, and p50/p95/p99 over every recorder histogram.
     /// Bounded by construction — traces and timelines are deliberately not
     /// included, so the reply stays far under the protocol's 1 MiB cap.
     pub(crate) fn metrics_json(&self) -> String {
+        let snap = self.stats();
         let mut stats = JsonValue::object();
-        stats
-            .push(
-                "sessions_started",
-                JsonValue::UInt(self.sessions_started.load(Ordering::Relaxed)),
-            )
-            .push(
-                "sessions_errored",
-                JsonValue::UInt(self.sessions_errored.load(Ordering::Relaxed)),
-            )
-            .push(
-                "jobs_completed",
-                JsonValue::UInt(self.jobs_completed.load(Ordering::Relaxed)),
-            )
-            .push(
-                "busy_rejections",
-                JsonValue::UInt(self.busy_rejections.load(Ordering::Relaxed)),
-            )
-            .push(
-                "jobs_resumed",
-                JsonValue::UInt(self.jobs_resumed.load(Ordering::Relaxed)),
-            )
-            .push(
-                "jobs_prepared",
-                JsonValue::UInt(self.jobs_prepared.load(Ordering::Relaxed)),
-            )
-            .push(
-                "checkpoints_saved",
-                JsonValue::UInt(self.checkpoints_saved.load(Ordering::Relaxed)),
-            )
-            .push(
-                "integrity_rejects",
-                JsonValue::UInt(self.integrity_rejects.load(Ordering::Relaxed)),
-            )
-            .push("breaker_trips", JsonValue::UInt(self.breaker.trips()))
-            .push("shed", JsonValue::UInt(self.breaker.sheds()));
+        for (key, value) in [
+            ("sessions_started", snap.sessions_started),
+            ("sessions_errored", snap.sessions_errored),
+            ("jobs_completed", snap.jobs_completed),
+            ("busy_rejections", snap.busy_rejections),
+            ("jobs_resumed", snap.jobs_resumed),
+            ("jobs_prepared", snap.jobs_prepared),
+            ("checkpoints_saved", snap.checkpoints_saved),
+            ("integrity_rejects", snap.integrity_rejects),
+            ("breaker_trips", snap.breaker_trips),
+            ("shed", snap.shed),
+        ] {
+            stats.push(key, JsonValue::UInt(value));
+        }
 
         let mut gauges = JsonValue::object();
         gauges
@@ -564,11 +561,10 @@ impl GcService {
         let shared = Arc::clone(&self.shared);
         let session_id = shared.next_session.fetch_add(1, Ordering::Relaxed);
         shared.sessions_started.fetch_add(1, Ordering::Relaxed);
-        max_telemetry::counter_add("serve.sessions.started", 1);
         let spawned = std::thread::Builder::new()
             .name(format!("gc-session-{session_id}"))
             .spawn(move || {
-                let (summary, outcome) = match &flight {
+                let (trace_id, outcome) = match &flight {
                     Some(fl) => run_session(
                         &shared,
                         FlightTransport::new(transport, Arc::clone(fl)),
@@ -585,13 +581,12 @@ impl GcService {
                     // Hostile/broken peers are the session's problem, never
                     // the process's: account and move on.
                     shared.sessions_errored.fetch_add(1, Ordering::Relaxed);
-                    max_telemetry::counter_add("serve.sessions.errored", 1);
                     if let Some(fl) = &flight {
                         // The dump's last events name what killed the
                         // session — injected fault, reaped deadline, or the
                         // protocol error itself.
                         fl.log("session.error", format!("{err:?}"), 0);
-                        shared.keep_flight_dump(fl.dump_json(summary.trace_id).render());
+                        shared.keep_flight_dump(fl.dump_json(trace_id).render());
                     }
                 }
             });
@@ -747,18 +742,7 @@ impl GcService {
 
     /// Snapshot of the aggregate counters.
     pub fn stats(&self) -> ServeStats {
-        ServeStats {
-            sessions_started: self.shared.sessions_started.load(Ordering::Relaxed),
-            sessions_errored: self.shared.sessions_errored.load(Ordering::Relaxed),
-            jobs_completed: self.shared.jobs_completed.load(Ordering::Relaxed),
-            busy_rejections: self.shared.busy_rejections.load(Ordering::Relaxed),
-            jobs_resumed: self.shared.jobs_resumed.load(Ordering::Relaxed),
-            jobs_prepared: self.shared.jobs_prepared.load(Ordering::Relaxed),
-            checkpoints_saved: self.shared.checkpoints_saved.load(Ordering::Relaxed),
-            integrity_rejects: self.shared.integrity_rejects.load(Ordering::Relaxed),
-            breaker_trips: self.shared.breaker.trips(),
-            shed: self.shared.breaker.sheds(),
-        }
+        self.shared.stats()
     }
 
     /// Graceful shutdown: drain, join every session thread, then drain and

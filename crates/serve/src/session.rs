@@ -59,32 +59,6 @@ fn fresh_resume_token() -> u64 {
     }
 }
 
-/// How one session ended, with its tallies.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SessionSummary {
-    /// Server-assigned session id (the *resumed* id for reconnects).
-    pub session_id: u64,
-    /// Jobs garbled and streamed to completion.
-    pub jobs_completed: u64,
-    /// Jobs turned away with BUSY.
-    pub busy_rejections: u64,
-    /// Jobs continued from a round checkpoint on this connection.
-    pub jobs_resumed: u64,
-    /// Model jobs served from a warm pre-garbled stream on this connection
-    /// (no garbling on the online path).
-    pub jobs_prepared: u64,
-    /// Round checkpoints deposited when this connection died mid-job.
-    pub checkpoints_saved: u64,
-    /// The session ended because the idle timeout fired.
-    pub idle_reaped: bool,
-    /// The handshake was refused (draining / version / width / overload /
-    /// unknown resume).
-    pub rejected: bool,
-    /// Trace id the client put in its HELLO/RESUME (0 = untraced); tags
-    /// the flight-recorder dump of an error-ending session.
-    pub trace_id: u128,
-}
-
 /// Identity and seed material of a live session, common to the fresh and
 /// resumed entry paths, plus the session's flight ring (shared with the
 /// transport wrapper).
@@ -179,10 +153,8 @@ fn journal_remove(shared: &ServiceShared, session_id: u64) {
 /// at each element boundary; every boundary is journaled (durable) and on
 /// failure the final window is deposited in the in-memory registry,
 /// covering the client's two possible rollback points.
-#[allow(clippy::too_many_arguments)]
 fn stream_job_checkpointed<T: Transport>(
     shared: &ServiceShared,
-    summary: &mut SessionSummary,
     transport: &mut T,
     ctx: &SessionCtx<'_>,
     job: &MaterializedJob,
@@ -232,7 +204,6 @@ fn stream_job_checkpointed<T: Transport>(
         Err(err) => {
             if matches!(err, AcceleratorError::Integrity { .. }) {
                 shared.integrity_rejects.fetch_add(1, Ordering::Relaxed);
-                max_telemetry::counter_add("serve.integrity.rejects", 1);
                 if let Some(flight) = ctx.flight {
                     flight.log("integrity.reject", format!("{err}"), run.job_id);
                 }
@@ -246,9 +217,7 @@ fn stream_job_checkpointed<T: Transport>(
             }
             let elements_kept = snapshots.back().map_or(0, |(next, _, _)| *next as u64);
             let evicted = shared.resume.save(window_checkpoint(ctx, run, &snapshots));
-            summary.checkpoints_saved += 1;
             shared.checkpoints_saved.fetch_add(1, Ordering::Relaxed);
-            max_telemetry::counter_add("serve.resume.checkpoints", 1);
             trace_instant(shared, ctx.trace, "server/checkpoint");
             if let Some(flight) = ctx.flight {
                 flight.log(
@@ -273,35 +242,34 @@ fn stream_job_checkpointed<T: Transport>(
 /// Runs one session over `transport` until BYE, disconnect, idle timeout,
 /// or a protocol violation.
 ///
-/// Always returns the session's tallies — a session that dies mid-job is
-/// exactly the one whose checkpoint/jobs counters matter — alongside how it
-/// ended: `Ok` for clean closes (BYE, disconnect between jobs, idle
-/// timeout, handshake rejection), the killing error otherwise.
+/// Returns the trace id the client put in its HELLO/RESUME (0 = untraced
+/// or no handshake), which tags the flight-recorder dump of an error-ending
+/// session, alongside how it ended: `Ok` for clean closes (BYE, disconnect
+/// between jobs, idle timeout, handshake rejection), the killing error
+/// otherwise. Job and checkpoint tallies land on the shared counters at
+/// event time.
 pub(crate) fn run_session<T: Transport>(
     shared: &ServiceShared,
     mut transport: T,
     session_id: u64,
     flight: Option<Arc<FlightRecorder>>,
-) -> (SessionSummary, Result<(), AcceleratorError>) {
-    let mut summary = SessionSummary {
-        session_id,
-        ..SessionSummary::default()
-    };
+) -> (u128, Result<(), AcceleratorError>) {
+    let mut trace_id = 0;
     let outcome = session_loop(
         shared,
         &mut transport,
         session_id,
-        &mut summary,
+        &mut trace_id,
         flight.as_deref(),
     );
-    (summary, outcome)
+    (trace_id, outcome)
 }
 
 fn session_loop<T: Transport>(
     shared: &ServiceShared,
     transport: &mut T,
     session_id: u64,
-    summary: &mut SessionSummary,
+    trace_id: &mut u128,
     flight: Option<&FlightRecorder>,
 ) -> Result<(), AcceleratorError> {
     transport.set_idle_timeout(shared.idle_timeout);
@@ -321,7 +289,6 @@ fn session_loop<T: Transport>(
             Ok(msg) => break msg,
             Err(AcceleratorError::Disconnected) => return Ok(()),
             Err(AcceleratorError::Transport(max_gc::channel::TransportError::TimedOut)) => {
-                summary.idle_reaped = true;
                 max_telemetry::counter_add("serve.sessions.idle_reaped", 1);
                 if let Some(flight) = flight {
                     flight.log("deadline.reap", "handshake", 0);
@@ -332,14 +299,12 @@ fn session_loop<T: Transport>(
         }
     };
 
-    let reject = |transport: &mut T,
-                  summary: &mut SessionSummary,
-                  code: u8,
-                  detail: u32|
-     -> Result<(), AcceleratorError> {
-        summary.rejected = true;
+    let reject = |transport: &mut T, code: u8, detail: u32| {
         send_control(transport, &ControlMsg::Reject { code, detail })
     };
+    // Jobs completed on this connection, for the `serve.session.jobs`
+    // histogram.
+    let mut jobs_completed = 0u64;
 
     let (mut ctx, mut ot_sender) = match first {
         ControlMsg::Hello {
@@ -347,9 +312,9 @@ fn session_loop<T: Transport>(
             bit_width,
             trace,
         } => {
-            summary.trace_id = trace.trace_id;
+            *trace_id = trace.trace_id;
             if shared.is_draining() {
-                reject(transport, summary, REJECT_DRAINING, 0)?;
+                reject(transport, REJECT_DRAINING, 0)?;
                 return Ok(());
             }
             if shared.breaker.should_shed() {
@@ -362,28 +327,17 @@ fn session_loop<T: Transport>(
                 }
                 reject(
                     transport,
-                    summary,
                     REJECT_OVERLOAD,
                     shared.breaker.config().retry_after_ms,
                 )?;
                 return Ok(());
             }
             if version != PROTOCOL_VERSION {
-                reject(
-                    transport,
-                    summary,
-                    REJECT_VERSION,
-                    u32::from(PROTOCOL_VERSION),
-                )?;
+                reject(transport, REJECT_VERSION, u32::from(PROTOCOL_VERSION))?;
                 return Ok(());
             }
             if bit_width as usize != shared.config.bit_width {
-                reject(
-                    transport,
-                    summary,
-                    REJECT_WIDTH,
-                    shared.config.bit_width as u32,
-                )?;
+                reject(transport, REJECT_WIDTH, shared.config.bit_width as u32)?;
                 return Ok(());
             }
             let session_seed = derive_seed(shared.base_seed, session_id);
@@ -431,7 +385,7 @@ fn session_loop<T: Transport>(
             elements_done,
             trace,
         } => {
-            summary.trace_id = trace.trace_id;
+            *trace_id = trace.trace_id;
             // Resumes finish work already admitted: allowed while draining
             // and while the breaker sheds new load.
             let checkpoint = shared.resume.lookup(resumed_id);
@@ -442,10 +396,9 @@ fn session_loop<T: Transport>(
                     && cp.snapshot_at(elements_done as usize).is_some()
             });
             let Some(checkpoint) = checkpoint.filter(|_| valid) else {
-                reject(transport, summary, REJECT_RESUME, 0)?;
+                reject(transport, REJECT_RESUME, 0)?;
                 return Ok(());
             };
-            summary.session_id = resumed_id;
             // A model job resumes by re-garbling from the registry's
             // weights with the checkpoint's seed (bit-identical to the
             // consumed stream). If the model was evicted since, the
@@ -456,7 +409,7 @@ fn session_loop<T: Transport>(
                     Some(weights) => Some(weights),
                     None => {
                         max_telemetry::counter_add("serve.resume.model_evicted", 1);
-                        reject(transport, summary, REJECT_RESUME, 0)?;
+                        reject(transport, REJECT_RESUME, 0)?;
                         return Ok(());
                     }
                 },
@@ -474,7 +427,6 @@ fn session_loop<T: Transport>(
                 Err(full) => {
                     // The checkpoint stays put; the client backs off and
                     // re-sends RESUME on its next connection.
-                    summary.busy_rejections += 1;
                     shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
                     send_control(
                         transport,
@@ -492,7 +444,7 @@ fn session_loop<T: Transport>(
                 .map(|(sender, digest)| (sender.clone(), digest.clone()))
             else {
                 // Unreachable given `valid`, but never panic on peer input.
-                reject(transport, summary, REJECT_RESUME, 0)?;
+                reject(transport, REJECT_RESUME, 0)?;
                 return Ok(());
             };
             let mut ot_sender = sender;
@@ -518,7 +470,6 @@ fn session_loop<T: Transport>(
             }
             stream_job_checkpointed(
                 shared,
-                summary,
                 transport,
                 &ctx,
                 &job,
@@ -534,12 +485,9 @@ fn session_loop<T: Transport>(
                 digest,
             )?;
             shared.resume.remove(resumed_id);
-            summary.jobs_completed += 1;
-            summary.jobs_resumed += 1;
+            jobs_completed += 1;
             shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
             shared.jobs_resumed.fetch_add(1, Ordering::Relaxed);
-            max_telemetry::counter_add("serve.jobs.resumed", 1);
-            max_telemetry::counter_add("serve.jobs.completed", 1);
             (ctx, ot_sender)
         }
         _ => {
@@ -615,9 +563,7 @@ fn session_loop<T: Transport>(
                         // guarding.
                         let job_id = ctx.next_job;
                         ctx.next_job += 1;
-                        summary.jobs_prepared += 1;
                         shared.jobs_prepared.fetch_add(1, Ordering::Relaxed);
-                        max_telemetry::counter_add("serve.jobs.prepared", 1);
                         trace_instant(shared, ctx.trace, "server/prepared_serve");
                         if let Some(flight) = flight {
                             flight.log(
@@ -628,7 +574,6 @@ fn session_loop<T: Transport>(
                         }
                         stream_job_checkpointed(
                             shared,
-                            summary,
                             transport,
                             &ctx,
                             &stream.job,
@@ -643,16 +588,14 @@ fn session_loop<T: Transport>(
                             },
                             TranscriptDigest::new(),
                         )?;
-                        summary.jobs_completed += 1;
+                        jobs_completed += 1;
                         shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
-                        max_telemetry::counter_add("serve.jobs.completed", 1);
                     }
                     Plan::Pool {
                         weights,
                         seed_override,
                     } => {
                         if shared.breaker.should_shed() {
-                            summary.busy_rejections += 1;
                             shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
                             if let Some(flight) = flight {
                                 flight.log(
@@ -692,7 +635,6 @@ fn session_loop<T: Transport>(
                                 })??);
                                 stream_job_checkpointed(
                                     shared,
-                                    summary,
                                     transport,
                                     &ctx,
                                     &job,
@@ -707,13 +649,11 @@ fn session_loop<T: Transport>(
                                     },
                                     TranscriptDigest::new(),
                                 )?;
-                                summary.jobs_completed += 1;
+                                jobs_completed += 1;
                                 shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
-                                max_telemetry::counter_add("serve.jobs.completed", 1);
                             }
                             Err(full) => {
                                 shared.breaker.note_queue_full();
-                                summary.busy_rejections += 1;
                                 shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
                                 send_control(
                                     transport,
@@ -783,7 +723,6 @@ fn session_loop<T: Transport>(
             },
             Ok(ControlMsg::ModelEvict { model_id }) => match shared.evict_model(model_id) {
                 Some(status) => {
-                    max_telemetry::counter_add("serve.models.evicted", 1);
                     if let Some(flight) = flight {
                         flight.log("model.evicted", format!("model {model_id}"), model_id);
                     }
@@ -819,7 +758,6 @@ fn session_loop<T: Transport>(
             }
             Err(AcceleratorError::Disconnected) => break,
             Err(AcceleratorError::Transport(max_gc::channel::TransportError::TimedOut)) => {
-                summary.idle_reaped = true;
                 max_telemetry::counter_add("serve.sessions.idle_reaped", 1);
                 if let Some(flight) = flight {
                     flight.log("deadline.reap", "idle", 0);
@@ -834,6 +772,6 @@ fn session_loop<T: Transport>(
             Err(e) => return Err(e),
         }
     }
-    max_telemetry::histogram_record("serve.session.jobs", summary.jobs_completed);
+    max_telemetry::histogram_record("serve.session.jobs", jobs_completed);
     Ok(())
 }

@@ -230,6 +230,25 @@ fn metrics_frame_serves_counters_gauges_and_percentiles() {
         body.len() < 1 << 20,
         "METRICS body stays under the frame cap"
     );
+    // The session is idle between jobs, so METRICS and `stats()` read the
+    // same counters: every `stats` value matches, in key order.
+    let s = service.stats();
+    let expected = format!(
+        "\"stats\":{{\"sessions_started\":{},\"sessions_errored\":{},\"jobs_completed\":{},\
+         \"busy_rejections\":{},\"jobs_resumed\":{},\"jobs_prepared\":{},\
+         \"checkpoints_saved\":{},\"integrity_rejects\":{},\"breaker_trips\":{},\"shed\":{}}}",
+        s.sessions_started,
+        s.sessions_errored,
+        s.jobs_completed,
+        s.busy_rejections,
+        s.jobs_resumed,
+        s.jobs_prepared,
+        s.checkpoints_saved,
+        s.integrity_rejects,
+        s.breaker_trips,
+        s.shed,
+    );
+    assert!(body.contains(&expected), "{expected} not in {body}");
     client.goodbye();
 
     // Pre-handshake: a bare connection can poll metrics without ever

@@ -17,12 +17,11 @@
 //!
 //! 1. **The facade** ([`install`], [`counter_add`], [`span`], …) is the
 //!    instrumentation layer threaded through the hot paths of `max-gc`,
-//!    `max-ot`, `max-rng` and `maxelerator`. It is a **compile-time no-op**
-//!    unless this crate's `enabled` feature is on (downstream crates expose
-//!    it as their `telemetry` feature), so default builds pay nothing.
-//! 2. **Direct [`Recorder`] use** is always compiled: benches and tests
-//!    construct a local recorder, feed it explicitly, and snapshot it —
-//!    no feature flag required.
+//!    `max-ot`, `max-rng` and `maxelerator`. It is always compiled; until a
+//!    recorder is [`install`]ed each call is one relaxed atomic load (no
+//!    lock, no `Arc` clone), so an unobserved process pays next to nothing.
+//! 2. **Direct [`Recorder`] use**: benches, tests and the serving layer
+//!    construct a local recorder, feed it explicitly, and snapshot it.
 //!
 //! A [`Snapshot`] is plain data: deterministic ordering, value-equality,
 //! and a canonical JSON rendering (see [`report`]) for machine-readable
@@ -216,9 +215,8 @@ struct Inner {
 /// The telemetry sink: thread-safe, append-only, snapshot-on-demand.
 ///
 /// All mutation goes through `&self`; a single mutex guards the maps (the
-/// facade is the hot path only when the `enabled` feature is on, and the
-/// workloads this repository measures are simulation-bound, not
-/// telemetry-bound).
+/// facade only reaches it while a recorder is installed, and the workloads
+/// this repository measures are simulation-bound, not telemetry-bound).
 pub struct Recorder {
     epoch: Instant,
     inner: Mutex<Inner>,
@@ -518,60 +516,68 @@ impl Snapshot {
     }
 }
 
-/// True when the facade records (the `enabled` feature is on).
-pub const fn enabled() -> bool {
-    cfg!(feature = "enabled")
-}
-
 // ---------------------------------------------------------------------------
-// The global facade: real when `enabled`, inlined-away otherwise.
+// The global facade: one relaxed load when idle, real recording once a
+// recorder is installed.
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "enabled")]
 mod facade {
     use super::{Recorder, TimelineEntry};
     use std::cell::RefCell;
-    use std::sync::{Arc, RwLock};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, PoisonError, RwLock};
     use std::time::Instant;
 
     static GLOBAL: RwLock<Option<Arc<Recorder>>> = RwLock::new(None);
+
+    /// Fast-path flag mirroring `GLOBAL.is_some()`: written under the write
+    /// lock by [`install`]/[`uninstall`], read without any lock, so an idle
+    /// facade call costs one load. `Relaxed` suffices because the flag
+    /// publishes no data: the recorder itself is only reached through the
+    /// lock, which orders it.
+    pub(crate) static INSTALLED: AtomicBool = AtomicBool::new(false);
 
     thread_local! {
         static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
     }
 
-    fn read_global() -> Option<Arc<Recorder>> {
+    /// Runs `f` against the installed recorder, if any.
+    #[inline]
+    fn with_global<R>(f: impl FnOnce(&Arc<Recorder>) -> R) -> Option<R> {
+        if !INSTALLED.load(Ordering::Relaxed) {
+            return None;
+        }
         GLOBAL
             .read()
-            .unwrap_or_else(|e| e.into_inner())
+            .unwrap_or_else(PoisonError::into_inner)
             .as_ref()
-            .cloned()
+            .map(f)
     }
 
     /// Installs `recorder` as the global sink, replacing any previous one.
     pub fn install(recorder: Arc<Recorder>) {
-        *GLOBAL.write().unwrap_or_else(|e| e.into_inner()) = Some(recorder);
+        let mut global = GLOBAL.write().unwrap_or_else(PoisonError::into_inner);
+        *global = Some(recorder);
+        INSTALLED.store(true, Ordering::Relaxed);
     }
 
     /// Removes the global sink; subsequent facade calls are dropped.
     pub fn uninstall() {
-        *GLOBAL.write().unwrap_or_else(|e| e.into_inner()) = None;
+        let mut global = GLOBAL.write().unwrap_or_else(PoisonError::into_inner);
+        *global = None;
+        INSTALLED.store(false, Ordering::Relaxed);
     }
 
     /// Adds `value` to global counter `name`.
     #[inline]
     pub fn counter_add(name: &'static str, value: u64) {
-        if let Some(rec) = read_global() {
-            rec.add(name, value);
-        }
+        with_global(|rec| rec.add(name, value));
     }
 
     /// Records `value` into global histogram `name`.
     #[inline]
     pub fn histogram_record(name: &'static str, value: u64) {
-        if let Some(rec) = read_global() {
-            rec.record(name, value);
-        }
+        with_global(|rec| rec.record(name, value));
     }
 
     /// RAII wall-clock span; nested spans form `/`-separated paths per
@@ -583,7 +589,7 @@ mod facade {
 
     /// Opens a span named `name` under the current thread's span stack.
     pub fn span(name: &'static str) -> SpanGuard {
-        if read_global().is_none() {
+        if !INSTALLED.load(Ordering::Relaxed) {
             return SpanGuard { state: None };
         }
         let path = SPAN_STACK.with(|stack| {
@@ -611,9 +617,7 @@ mod facade {
                 SPAN_STACK.with(|stack| {
                     stack.borrow_mut().pop();
                 });
-                if let Some(rec) = read_global() {
-                    rec.record_span(&path, started.elapsed(), cycles);
-                }
+                with_global(|rec| rec.record_span(&path, started.elapsed(), cycles));
             }
         }
     }
@@ -626,14 +630,8 @@ mod facade {
 
     /// Opens a busy interval on `name`/`lane`, closed when the guard drops.
     pub fn timeline(name: &'static str, lane: u32) -> TimelineGuard {
-        match read_global() {
-            Some(rec) => {
-                let start = rec.now_ns();
-                TimelineGuard {
-                    state: Some((rec, name, lane, start)),
-                }
-            }
-            None => TimelineGuard { state: None },
+        TimelineGuard {
+            state: with_global(|rec| (Arc::clone(rec), name, lane, rec.now_ns())),
         }
     }
 
@@ -651,56 +649,6 @@ mod facade {
                 );
             }
         }
-    }
-}
-
-#[cfg(not(feature = "enabled"))]
-mod facade {
-    //! Disabled facade: every entry point is an empty inline function, so
-    //! instrumented call sites compile to nothing.
-    use super::Recorder;
-    use std::sync::Arc;
-
-    /// No-op (telemetry disabled at compile time).
-    #[inline(always)]
-    pub fn install(_recorder: Arc<Recorder>) {}
-
-    /// No-op (telemetry disabled at compile time).
-    #[inline(always)]
-    pub fn uninstall() {}
-
-    /// No-op (telemetry disabled at compile time).
-    #[inline(always)]
-    pub fn counter_add(_name: &'static str, _value: u64) {}
-
-    /// No-op (telemetry disabled at compile time).
-    #[inline(always)]
-    pub fn histogram_record(_name: &'static str, _value: u64) {}
-
-    /// Zero-sized stand-in for the enabled span guard.
-    #[must_use = "a span records when dropped"]
-    pub struct SpanGuard;
-
-    impl SpanGuard {
-        /// No-op (telemetry disabled at compile time).
-        #[inline(always)]
-        pub fn add_cycles(&mut self, _cycles: u64) {}
-    }
-
-    /// No-op (telemetry disabled at compile time).
-    #[inline(always)]
-    pub fn span(_name: &'static str) -> SpanGuard {
-        SpanGuard
-    }
-
-    /// Zero-sized stand-in for the enabled timeline guard.
-    #[must_use = "a timeline interval records when dropped"]
-    pub struct TimelineGuard;
-
-    /// No-op (telemetry disabled at compile time).
-    #[inline(always)]
-    pub fn timeline(_name: &'static str, _lane: u32) -> TimelineGuard {
-        TimelineGuard
     }
 }
 
@@ -916,8 +864,19 @@ mod tests {
         assert_eq!(snap, rec.snapshot());
     }
 
+    /// Serialises the tests that install or uninstall the process-global
+    /// recorder, so one test's `uninstall` cannot drop another's counts.
+    static FACADE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn facade_lock() -> std::sync::MutexGuard<'static, ()> {
+        FACADE_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn facade_is_safe_with_no_recorder_installed() {
+        let _serial = facade_lock();
         uninstall();
         counter_add("nobody.listens", 1);
         histogram_record("nobody.listens", 2);
@@ -928,13 +887,8 @@ mod tests {
     }
 
     #[test]
-    fn enabled_matches_feature() {
-        assert_eq!(enabled(), cfg!(feature = "enabled"));
-    }
-
-    #[cfg(feature = "enabled")]
-    #[test]
     fn facade_records_into_installed_recorder() {
+        let _serial = facade_lock();
         let rec = Arc::new(Recorder::new());
         install(Arc::clone(&rec));
         counter_add("facade.count", 4);
@@ -947,11 +901,18 @@ mod tests {
         }
         uninstall();
         counter_add("facade.count", 100); // dropped: nothing installed
+                                          // The fast-path flag was set by `install`; `uninstall` must clear it
+                                          // so every entry point drops its call again.
+        assert!(!facade::INSTALLED.load(std::sync::atomic::Ordering::Relaxed));
+        histogram_record("facade.hist", 1);
+        drop(span("after"));
+        drop(timeline("facade.units", 3));
         let snap = rec.snapshot();
         assert_eq!(snap.counter("facade.count"), 4);
         assert_eq!(snap.histogram("facade.hist").unwrap().count, 1);
         assert_eq!(snap.span("outer").unwrap().cycles, 11);
         assert!(snap.span("outer/inner").is_some());
+        assert!(snap.span("after").is_none());
         let tl = snap.timeline("facade.units").unwrap();
         assert_eq!(tl.entries.len(), 1);
         assert_eq!(tl.entries[0].lane, 2);

@@ -119,10 +119,8 @@ proptest! {
     ) {
         // Telemetry must be observably side-effect-free: the exact same
         // protocol bytes come out whether or not a recorder is installed
-        // and recording. With `--features telemetry` the instrumented run
-        // records real spans/counters; without, the facade is compiled out
-        // and this degenerates to running the protocol twice — still a
-        // valid determinism check.
+        // and recording. The facade is always compiled, so the instrumented
+        // run records real spans and counters.
         let config = AcceleratorConfig::new(8);
         let w: Vec<Vec<i64>> = (0..rows)
             .map(|r| (0..cols).map(|c| values[(r * cols + c) % values.len()]).collect())
@@ -155,13 +153,9 @@ proptest! {
         prop_assert_eq!(msgs1, msgs2);
         prop_assert_eq!(pairs1, pairs2);
 
-        // And the instrumented run really did record (when compiled in).
-        if max_telemetry::enabled() {
-            prop_assert!(snapshot.counter("gc.gates.and") > 0);
-            prop_assert!(snapshot.span("parity_check").is_some());
-        } else {
-            prop_assert_eq!(snapshot.counter("gc.gates.and"), 0);
-        }
+        // And the instrumented run really did record.
+        prop_assert!(snapshot.counter("gc.gates.and") > 0);
+        prop_assert!(snapshot.span("parity_check").is_some());
     }
 }
 
@@ -224,9 +218,7 @@ proptest! {
         // with the *same* trace context in the HELLO, a run with recorders
         // and the flight ring attached produces byte-identical frames to a
         // run with all of it absent. (The context itself is on the wire by
-        // design, which is why both runs pin the same one.) This holds in
-        // both feature states: recorders are always-compiled, and with
-        // `--features telemetry` the facade instrumentation is live too.
+        // design, which is why both runs pin the same one.)
         let x: Vec<i64> = (0..cols).map(|c| values[c % values.len()]).collect();
         // `Range<u128>` is not a proptest strategy; assemble the 128-bit id
         // from two independent u64 halves (the low half nonzero keeps the
